@@ -44,6 +44,9 @@ echo "==> tier-1: cargo build --release && cargo test -q"
 cargo build --release
 cargo test -q
 
+echo "==> whole workspace: cargo test --workspace -q"
+cargo test --workspace -q
+
 echo "==> observability goldens (exposition format + stats schema)"
 cargo test -q -p gridwatch-serve --lib -- \
     prometheus_exposition_is_pinned stats_dump_schema_is_pinned

@@ -34,8 +34,9 @@ fn bench_engine_throughput(c: &mut Criterion) {
                     b.iter_batched(
                         || trained_engine(&trace, pairs, parallel),
                         |mut engine| {
-                            // Two steps so every model has a trajectory
-                            // and the second step exercises scoring.
+                            // One step: `TransitionModel::fit` already
+                            // set every model's last cell, so this step
+                            // scores every pair.
                             black_box(engine.step(&snapshot));
                         },
                         criterion::BatchSize::LargeInput,

@@ -5,7 +5,7 @@ use gridwatch_grid::{CellId, DecayKernel, GridStructure, RowArena, RowFormat, Ro
 use serde::{Deserialize, Serialize};
 
 use crate::fitness::{score_quantized_row, score_row, score_sparse_row, TransitionScore};
-use crate::prior::{log_prior_row, normalize_log_row};
+use crate::prior::{for_each_log_weight, log_prior_row_from_table, normalize_log_row};
 
 /// The transition probability matrix `V` with `V[i][j] = P(c_i → c_j)`,
 /// stored sparsely.
@@ -25,8 +25,11 @@ use crate::prior::{log_prior_row, normalize_log_row};
 /// prior, one likelihood term per observation — Eq. 1 and Eq. 2 of the
 /// paper in log space). So it suffices to store, per visited row, the
 /// *count of observations per destination cell*; full rows are
-/// materialized lazily in `O(s · distinct_destinations)` and memoized
-/// until the row changes.
+/// materialized lazily in `O(s · distinct_destinations)` multiply-adds
+/// and memoized until the row changes. Every `ln K` term depends only on
+/// the cell offset `(|dx|, |dy|)`, so the matrix keeps one table of them
+/// per grid shape ([`DecayKernel::log_weight_table`]): a row costs no
+/// transcendental call beyond the `exp`s of normalization.
 ///
 /// # Example
 ///
@@ -77,6 +80,16 @@ pub struct TransitionMatrix {
     /// Memoized sparse rows ([`RowFormat::Sparse`]).
     #[serde(skip)]
     sparse_cache: HashMap<usize, SparseRow>,
+    /// `ln K` for every cell offset of a grid of shape
+    /// `log_weights_shape` ([`DecayKernel::log_weight_table`]). The
+    /// `&mut` entry points rebuild it whenever the grid's shape differs
+    /// (growth, deserialization, a fresh matrix).
+    #[serde(skip)]
+    log_weights: Vec<f64>,
+    /// The `(columns, rows)` that `log_weights` was built for; `(0, 0)`
+    /// (no grid has that shape) until the first build.
+    #[serde(skip)]
+    log_weights_shape: (usize, usize),
     total_observations: u64,
 }
 
@@ -107,6 +120,8 @@ impl TransitionMatrix {
             quant_cache: HashMap::new(),
             arena: RowArena::new(),
             sparse_cache: HashMap::new(),
+            log_weights: Vec::new(),
+            log_weights_shape: (0, 0),
             total_observations: 0,
         }
     }
@@ -208,6 +223,7 @@ impl TransitionMatrix {
     /// Panics if `from` is outside the grid's cell range.
     pub fn row(&mut self, grid: &GridStructure, from: CellId) -> &[f64] {
         assert!(from.index() < grid.cell_count(), "row out of range");
+        self.refresh_log_weights(grid);
         if !self.row_cache.contains_key(&from.index()) {
             let row = self.compute_row(grid, from);
             self.row_cache.insert(from.index(), row);
@@ -217,23 +233,51 @@ impl TransitionMatrix {
             .expect("row inserted above")
     }
 
+    /// Rebuilds the log-weight table when `grid`'s shape differs from
+    /// the one it was built for.
+    fn refresh_log_weights(&mut self, grid: &GridStructure) {
+        let shape = (grid.columns(), grid.rows());
+        if self.log_weights_shape != shape {
+            self.log_weights = self
+                .kernel
+                .log_weight_table(self.decay_rate, shape.0, shape.1);
+            self.log_weights_shape = shape;
+        }
+    }
+
     /// Computes the posterior row without touching the cache (`&self`
     /// variant of [`TransitionMatrix::row`]).
+    ///
+    /// Reads the cached log-weight table when it matches `grid`'s shape
+    /// and builds a temporary one otherwise. Per cell, the prior term
+    /// comes first, then one `n · ln K` term per observed destination in
+    /// increasing cell order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `from` is outside the grid's cell range.
     pub fn compute_row(&self, grid: &GridStructure, from: CellId) -> Vec<f64> {
-        let mut log_row = log_prior_row(grid, self.kernel, self.decay_rate, from);
+        assert!(from.index() < grid.cell_count(), "row out of range");
+        let (columns, rows) = (grid.columns(), grid.rows());
+        let built;
+        let table = if self.log_weights_shape == (columns, rows) {
+            &self.log_weights
+        } else {
+            built = self.kernel.log_weight_table(self.decay_rate, columns, rows);
+            &built
+        };
+        let mut log_row = log_prior_row_from_table(grid, table, from);
         if let Some(obs) = self.counts.get(&from.index()) {
             for (&h, &n) in obs {
-                let h_cell = CellId(h);
                 // Guard against stale indices (can only happen on misuse;
                 // remap keeps indices in range).
                 if h >= grid.cell_count() {
                     continue;
                 }
                 let n = n as f64;
-                for (j, l) in log_row.iter_mut().enumerate() {
-                    let (dx, dy) = grid.offset(h_cell, CellId(j));
-                    *l -= n * self.kernel.log_weight(self.decay_rate, dx, dy);
-                }
+                for_each_log_weight(&mut log_row, columns, table, CellId(h), |l, lw| {
+                    *l -= n * lw;
+                });
             }
         }
         normalize_log_row(&log_row)
@@ -259,6 +303,7 @@ impl TransitionMatrix {
     /// Panics if `from` or `to` is outside the grid's cell range.
     pub fn score(&mut self, grid: &GridStructure, from: CellId, to: CellId) -> TransitionScore {
         assert!(to.index() < grid.cell_count(), "destination out of range");
+        self.refresh_log_weights(grid);
         match self.row_format {
             RowFormat::Dense => score_row(self.row(grid, from), to),
             RowFormat::Quantized => {
@@ -302,9 +347,9 @@ impl TransitionMatrix {
         }
     }
 
-    /// Approximate bytes held by the memoized-row caches (the part of the
-    /// footprint the compact formats shrink; the integer counts are shared
-    /// by all formats). Used by the `model_rss` benchmark.
+    /// Approximate bytes held by the memoized-row caches and the
+    /// log-weight table (the integer counts are shared by all formats).
+    /// Used by the `model_rss` benchmark.
     pub fn approx_row_cache_bytes(&self) -> usize {
         let dense: usize = self
             .row_cache
@@ -313,7 +358,8 @@ impl TransitionMatrix {
             .sum();
         let sparse: usize = self.sparse_cache.values().map(SparseRow::bytes).sum();
         let quant_index = self.quant_cache.len() * std::mem::size_of::<(usize, (RowSlot, f64))>();
-        dense + sparse + self.arena.bytes() + quant_index
+        let table = self.log_weights.capacity() * std::mem::size_of::<f64>();
+        dense + sparse + self.arena.bytes() + quant_index + table
     }
 
     /// Bytes of memoized row *payload* only — the per-cell storage the
@@ -429,8 +475,9 @@ impl TransitionMatrix {
 
 impl PartialEq for TransitionMatrix {
     fn eq(&self, other: &Self) -> bool {
-        // Bitwise comparison: equality here means "same persisted model",
-        // so two NaN decay rates (never valid, but conceivable after a
+        // Bitwise comparison: equality here means "same persisted model"
+        // (memoized rows and the log-weight table are derived state and
+        // ignored), so two NaN decay rates (never valid, but conceivable after a
         // corrupted checkpoint) must still compare equal to themselves.
         self.kernel == other.kernel
             && self.decay_rate.to_bits() == other.decay_rate.to_bits()
@@ -580,6 +627,45 @@ mod tests {
         let a = v.row(&grid, CellId(0)).to_vec();
         let b = back.row(&grid, CellId(0)).to_vec();
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn stale_log_weight_table_is_never_read_after_growth() {
+        let small = grid3x3();
+        let grown = GridStructure::uniform((0.0, 4.0), (0.0, 3.0), 4, 3);
+        let mut v = TransitionMatrix::new(DecayKernel::MeanAxis, 2.0);
+        v.observe(CellId(0), CellId(4));
+        v.score(&small, CellId(0), CellId(4));
+        assert_eq!(v.log_weights_shape, (3, 3));
+        // Poison the cached table: any read of it now shows up as NaN.
+        v.log_weights.iter_mut().for_each(|lw| *lw = f64::NAN);
+        v.remap_after_growth(3, 0, 1, 0);
+        let fresh = {
+            let mut f = TransitionMatrix::new(DecayKernel::MeanAxis, 2.0);
+            f.observe(CellId(0), CellId(5));
+            f.compute_row(&grown, CellId(0))
+        };
+        let bits = |row: &[f64]| row.iter().map(|p| p.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&v.compute_row(&grown, CellId(0))), bits(&fresh));
+        v.score(&grown, CellId(0), CellId(5));
+        assert_eq!(v.log_weights_shape, (4, 3));
+        assert!(v.log_weights.iter().all(|lw| lw.is_finite()));
+        assert_eq!(bits(v.row(&grown, CellId(0))), bits(&fresh));
+    }
+
+    #[test]
+    fn log_weight_table_is_skipped_by_serde_and_equality() {
+        let grid = grid3x3();
+        let mut v = observed(RowFormat::Dense);
+        let cold = v.clone();
+        v.score(&grid, CellId(0), CellId(1));
+        assert_eq!(v.log_weights.len(), 9);
+        assert_eq!(v, cold, "the table is derived state");
+        let json = serde_json::to_string(&v).unwrap();
+        assert!(!json.contains("log_weights"), "{json}");
+        let back: TransitionMatrix = serde_json::from_str(&json).unwrap();
+        assert!(back.log_weights.is_empty());
+        assert_eq!(back.log_weights_shape, (0, 0));
     }
 
     #[test]

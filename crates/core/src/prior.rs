@@ -21,12 +21,48 @@ pub fn log_prior_row(
     decay_rate: f64,
     from: CellId,
 ) -> Vec<f64> {
-    grid.cells()
-        .map(|to| {
-            let (dx, dy) = grid.offset(from, to);
-            -kernel.log_weight(decay_rate, dx, dy)
-        })
-        .collect()
+    let table = kernel.log_weight_table(decay_rate, grid.columns(), grid.rows());
+    log_prior_row_from_table(grid, &table, from)
+}
+
+/// [`log_prior_row`] read from a prebuilt table of `grid`'s shape (see
+/// [`DecayKernel::log_weight_table`]).
+pub(crate) fn log_prior_row_from_table(
+    grid: &GridStructure,
+    table: &[f64],
+    from: CellId,
+) -> Vec<f64> {
+    let mut log_row = vec![0.0; grid.cell_count()];
+    for_each_log_weight(&mut log_row, grid.columns(), table, from, |l, lw| *l = -lw);
+    log_row
+}
+
+/// Calls `apply(entry, ln K(center, c_j))` once for every entry `c_j` of
+/// the flat-order row `log_row` of a grid `columns` wide, reading the
+/// weights from `table` (see [`DecayKernel::log_weight_table`]).
+///
+/// Each row of cells is split at the centre's column so both halves walk
+/// the table contiguously: no per-cell division or offset arithmetic.
+#[inline]
+pub(crate) fn for_each_log_weight(
+    log_row: &mut [f64],
+    columns: usize,
+    table: &[f64],
+    center: CellId,
+    mut apply: impl FnMut(&mut f64, f64),
+) {
+    let (cx, cy) = (center.index() % columns, center.index() / columns);
+    for (r, cells) in log_row.chunks_exact_mut(columns).enumerate() {
+        let weights = &table[r.abs_diff(cy) * columns..][..columns];
+        let (left, right) = cells.split_at_mut(cx);
+        // `left[cx - 1]` is one column from the centre, `left[0]` is cx.
+        for (l, &lw) in left.iter_mut().rev().zip(&weights[1..]) {
+            apply(l, lw);
+        }
+        for (l, &lw) in right.iter_mut().zip(weights) {
+            apply(l, lw);
+        }
+    }
 }
 
 /// The normalized prior distribution `P(from → ·)` over all cells, in
@@ -57,8 +93,9 @@ pub fn prior_row(
 
 /// The full `s × s` prior matrix, row `i` being `P(c_i → ·)`.
 pub fn prior_matrix(grid: &GridStructure, kernel: DecayKernel, decay_rate: f64) -> Vec<Vec<f64>> {
+    let table = kernel.log_weight_table(decay_rate, grid.columns(), grid.rows());
     grid.cells()
-        .map(|from| prior_row(grid, kernel, decay_rate, from))
+        .map(|from| normalize_log_row(&log_prior_row_from_table(grid, &table, from)))
         .collect()
 }
 

@@ -172,13 +172,8 @@ impl ScoreBoard {
             self.at, other.at,
             "cannot merge score boards from different instants"
         );
-        for (pair, score) in other.pair_scores {
-            let prev = self.pair_scores.insert(pair, score);
-            assert!(
-                prev.is_none(),
-                "pair {pair:?} scored by two shards; shards must be disjoint"
-            );
-        }
+        let merged = self.try_merge(other);
+        assert!(merged.is_ok(), "{merged:?}: shards must be disjoint");
     }
 
     /// Fallible [`ScoreBoard::merge`] for boards of untrusted origin
@@ -200,7 +195,11 @@ impl ScoreBoard {
         {
             return Err(MergeError::OverlappingPair(*pair));
         }
-        self.pair_scores.extend(other.pair_scores);
+        // One bulk build instead of an insert per pair: bulk-built nodes
+        // are full, so the merged board (the one a `StepReport` keeps)
+        // holds about two thirds of the memory.
+        let ours = std::mem::take(&mut self.pair_scores);
+        self.pair_scores = ours.into_iter().chain(other.pair_scores).collect();
         Ok(())
     }
 }

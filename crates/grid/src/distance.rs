@@ -70,6 +70,30 @@ impl DecayKernel {
         self.weight(w, dx, dy).ln()
     }
 
+    /// [`DecayKernel::log_weight`] for every cell offset of a
+    /// `columns × rows` grid, indexed `[|dy| * columns + |dx|]`.
+    ///
+    /// Every kernel depends only on `(|dx|, |dy|)`, so this table holds
+    /// all the transcendental work a posterior row needs: building it
+    /// costs `columns × rows` calls, after which each row is lookups
+    /// and multiply-adds. Entries are bitwise equal to `log_weight`.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use gridwatch_grid::DecayKernel;
+    ///
+    /// let k = DecayKernel::MeanAxis;
+    /// let table = k.log_weight_table(2.0, 3, 2);
+    /// assert_eq!(table.len(), 6);
+    /// assert_eq!(table[1 * 3 + 2], k.log_weight(2.0, 2, 1));
+    /// ```
+    pub fn log_weight_table(self, w: f64, columns: usize, rows: usize) -> Vec<f64> {
+        (0..rows as i64)
+            .flat_map(|dy| (0..columns as i64).map(move |dx| self.log_weight(w, dx, dy)))
+            .collect()
+    }
+
     /// All kernel variants, for ablation sweeps.
     pub const ALL: [DecayKernel; 4] = [
         DecayKernel::MeanAxis,
@@ -142,6 +166,28 @@ mod tests {
         for k in DecayKernel::ALL {
             let lw = k.log_weight(2.0, 2, 1);
             assert!((lw - k.weight(2.0, 2, 1).ln()).abs() < 1e-15);
+        }
+    }
+
+    #[test]
+    fn log_weight_table_entries_are_bitwise_log_weight() {
+        for k in DecayKernel::ALL {
+            for w in [1.5, 2.0, 3.7] {
+                for (columns, rows) in [(1, 1), (3, 3), (7, 2), (1, 9), (13, 11)] {
+                    let table = k.log_weight_table(w, columns, rows);
+                    assert_eq!(table.len(), columns * rows);
+                    for dy in 0..rows {
+                        for dx in 0..columns {
+                            let want = k.log_weight(w, dx as i64, dy as i64);
+                            assert_eq!(
+                                table[dy * columns + dx].to_bits(),
+                                want.to_bits(),
+                                "{k:?} w={w} ({dx},{dy}) in {columns}x{rows}"
+                            );
+                        }
+                    }
+                }
+            }
         }
     }
 }

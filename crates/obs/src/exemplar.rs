@@ -13,10 +13,18 @@
 //! budget, or matched a 1-in-N head sample — Dapper-style tail
 //! sampling, sized for drill-down rather than statistics.
 //!
+//! An admitting front opens its trace with [`ExemplarTracer::admit`]
+//! *before* it fans the snapshot out, so a shard that scores it at once
+//! still finds the trace. The trace stays held until the front's own
+//! Route slice is in ([`ExemplarTracer::release`]); a `finalize` that
+//! arrives first parks its verdict until then. A snapshot the front
+//! shed or rejected has its trace [`ExemplarTracer::discard`]ed.
+//!
 //! The disabled path follows the same hard-gated discipline as the
 //! tracer: one relaxed load and a branch, no clock read, no lock, no
 //! allocation (`obs_overhead` bench-gates it at ≤15ns/step).
 
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -25,6 +33,7 @@ use std::time::Instant;
 use gridwatch_sync::{classes, OrderedMutex};
 use serde::{Deserialize, Serialize};
 
+use crate::expo::Exposition;
 use crate::trace::Stage;
 
 /// Spans kept per trace, bounding the memory of one pending entry.
@@ -165,6 +174,14 @@ pub struct ExemplarPosture {
     pub dropped: u64,
     /// Approximate bytes currently held by the ring.
     pub bytes: u64,
+    /// Traces opened and not yet settled.
+    pub pending: u64,
+    /// Admitted traces discarded because the front shed or rejected
+    /// their snapshot.
+    pub discarded: u64,
+    /// `record`/`finalize`/`release` calls that found no trace (never
+    /// opened, already settled, or evicted).
+    pub missed: u64,
 }
 
 #[derive(Debug)]
@@ -172,6 +189,10 @@ struct PendingTrace {
     source: String,
     at: u64,
     spans: Vec<SpanSlice>,
+    /// The admitting front has not released the trace yet.
+    held: bool,
+    /// A `finalize` verdict (alarmed or not) parked while held.
+    verdict: Option<bool>,
 }
 
 #[derive(Debug, Default)]
@@ -198,6 +219,10 @@ struct Core {
     /// table) — visible so silent capture loss never looks like "no
     /// interesting traces".
     pending_evicted: AtomicU64,
+    /// Admitted traces dropped because their snapshot was shed.
+    discarded: AtomicU64,
+    /// Calls that found no trace to act on.
+    missed: AtomicU64,
 }
 
 /// A shareable tail-sampling trace collector. Clones share one core;
@@ -240,6 +265,8 @@ impl ExemplarTracer {
                 pending: OrderedMutex::new(classes::EXEMPLAR_PENDING, BTreeMap::new()),
                 ring: OrderedMutex::new(classes::EXEMPLAR_RING, Ring::default()),
                 pending_evicted: AtomicU64::new(0),
+                discarded: AtomicU64::new(0),
+                missed: AtomicU64::new(0),
             }),
         }
     }
@@ -284,6 +311,18 @@ impl ExemplarTracer {
     /// oldest in-flight trace is evicted (and counted) — admission
     /// must never block on capture.
     pub fn open(&self, seq: u64, source: &str, at: u64) {
+        self.insert(seq, source, at, false);
+    }
+
+    /// [`ExemplarTracer::open`] for an admitting front that has not yet
+    /// fanned the snapshot out: the trace is held, and a `finalize`
+    /// that arrives before [`ExemplarTracer::release`] is parked rather
+    /// than applied, so the front's Route slice is never lost.
+    pub fn admit(&self, seq: u64, source: &str, at: u64) {
+        self.insert(seq, source, at, true);
+    }
+
+    fn insert(&self, seq: u64, source: &str, at: u64, held: bool) {
         if !self.is_enabled() {
             return;
         }
@@ -301,21 +340,65 @@ impl ExemplarTracer {
                 source: source.to_string(),
                 at,
                 spans: Vec::new(),
+                held,
+                verdict: None,
             },
         );
     }
 
+    /// Ends the admitting front's hold on `seq`'s trace (its Route slice
+    /// is recorded). If `finalize` already ran, its parked verdict is
+    /// applied now. Returns whether the trace was retained.
+    pub fn release(&self, seq: u64) -> bool {
+        if !self.is_enabled() {
+            return false;
+        }
+        let (trace, alarmed) = {
+            let mut pending = self.core.pending.lock();
+            let Entry::Occupied(mut entry) = pending.entry(seq) else {
+                self.note_miss();
+                return false;
+            };
+            match entry.get().verdict {
+                Some(alarmed) => (entry.remove(), alarmed),
+                None => {
+                    entry.get_mut().held = false;
+                    return false;
+                }
+            }
+        };
+        self.settle(seq, trace, alarmed)
+    }
+
+    /// Drops an admitted trace whose snapshot the front shed or
+    /// rejected (it will never be finalized), counting it.
+    pub fn discard(&self, seq: u64) {
+        if !self.is_enabled() {
+            return;
+        }
+        if self.core.pending.lock().remove(&seq).is_some() {
+            self.core.discarded.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    fn note_miss(&self) {
+        self.core.missed.fetch_add(1, Ordering::Relaxed);
+    }
+
     /// Appends one span to sequence `seq`'s trace. A miss (never
-    /// opened, already finalized, or evicted) is a silent no-op.
+    /// opened, already finalized, or evicted) is counted.
     pub fn record(&self, seq: u64, slice: SpanSlice) {
         if !self.is_enabled() {
             return;
         }
         let mut pending = self.core.pending.lock();
-        if let Some(trace) = pending.get_mut(&seq) {
-            if trace.spans.len() < MAX_SPANS_PER_TRACE {
-                trace.spans.push(slice);
+        match pending.get_mut(&seq) {
+            Some(trace) => {
+                if trace.spans.len() < MAX_SPANS_PER_TRACE {
+                    trace.spans.push(slice);
+                }
             }
+            None => self.note_miss(),
         }
     }
 
@@ -326,26 +409,45 @@ impl ExemplarTracer {
             return;
         }
         let mut pending = self.core.pending.lock();
-        if let Some(trace) = pending.get_mut(&seq) {
-            for slice in slices {
-                if trace.spans.len() >= MAX_SPANS_PER_TRACE {
-                    break;
-                }
-                trace.spans.push(slice.clone());
+        let Some(trace) = pending.get_mut(&seq) else {
+            self.note_miss();
+            return;
+        };
+        for slice in slices {
+            if trace.spans.len() >= MAX_SPANS_PER_TRACE {
+                break;
             }
+            trace.spans.push(slice.clone());
         }
     }
 
     /// Closes sequence `seq`'s trace and applies the tail-sampling
     /// decision: the trace is retained iff it alarmed, any span
     /// breached the stage budget, or the head sample selected it.
-    /// Returns whether it was retained.
+    /// Returns whether it was retained. On a trace still held by its
+    /// admitting front the verdict is parked and applied by
+    /// [`ExemplarTracer::release`] (this call then returns `false`).
     pub fn finalize(&self, seq: u64, alarmed: bool) -> bool {
         if !self.is_enabled() {
             return false;
         }
-        let trace = self.core.pending.lock().remove(&seq);
-        let Some(trace) = trace else { return false };
+        let trace = {
+            let mut pending = self.core.pending.lock();
+            let Entry::Occupied(mut entry) = pending.entry(seq) else {
+                self.note_miss();
+                return false;
+            };
+            if entry.get().held {
+                entry.get_mut().verdict = Some(alarmed);
+                return false;
+            }
+            entry.remove()
+        };
+        self.settle(seq, trace, alarmed)
+    }
+
+    /// Applies the tail-sampling decision to a closed trace.
+    fn settle(&self, seq: u64, trace: PendingTrace, alarmed: bool) -> bool {
         let budget = self.core.stage_budget_ns.load(Ordering::Relaxed);
         let head_every = self.core.head_sample_every.load(Ordering::Relaxed);
         let breached = budget > 0 && trace.spans.iter().any(|s| s.dur_ns > budget);
@@ -385,13 +487,49 @@ impl ExemplarTracer {
     }
 
     /// Capture counters: traces retained, traces evicted from the
-    /// ring, and the ring's approximate byte footprint.
+    /// ring, the ring's approximate byte footprint, traces in flight,
+    /// traces discarded at admission, and calls that found no trace.
     pub fn posture(&self) -> ExemplarPosture {
+        let pending = self.core.pending.lock().len() as u64;
         let ring = self.core.ring.lock();
         ExemplarPosture {
             retained: ring.base + ring.entries.len() as u64,
             dropped: ring.base,
             bytes: ring.bytes,
+            pending,
+            discarded: self.core.discarded.load(Ordering::Relaxed),
+            missed: self.core.missed.load(Ordering::Relaxed),
+        }
+    }
+
+    /// Renders the capture counters as Prometheus counters into `expo`.
+    pub fn render_into(&self, expo: &mut Exposition) {
+        let posture = self.posture();
+        let counters = [
+            (
+                "gridwatch_exemplar_retained_total",
+                "Trace exemplars retained by tail sampling.",
+                posture.retained,
+            ),
+            (
+                "gridwatch_exemplar_pending_evicted_total",
+                "In-flight traces evicted before finalize.",
+                self.pending_evicted(),
+            ),
+            (
+                "gridwatch_exemplar_discarded_total",
+                "Admitted traces discarded because the snapshot was shed or rejected.",
+                posture.discarded,
+            ),
+            (
+                "gridwatch_exemplar_missed_total",
+                "Trace record/finalize calls that found no open trace.",
+                posture.missed,
+            ),
+        ];
+        for (name, help, value) in counters {
+            expo.header(name, "counter", help);
+            expo.sample(name, &[], value);
         }
     }
 
@@ -497,6 +635,56 @@ mod tests {
         // retains nothing even though they would have alarmed.
         assert!(!tracer.finalize(0, true));
         assert!(tracer.finalize(2, true));
+    }
+
+    #[test]
+    fn held_trace_parks_an_early_finalize_until_release() {
+        let tracer = ExemplarTracer::enabled(config());
+        tracer.admit(5, "local", 0);
+        // The report stage outruns the admitting front.
+        tracer.record(5, SpanSlice::sharded(Stage::Score, 0, 10, 0, "shard-0"));
+        assert!(!tracer.finalize(5, true), "held: the verdict is parked");
+        assert_eq!(tracer.posture().pending, 1);
+        tracer.record(5, SpanSlice::new(Stage::Route, 0, 20, "ingest"));
+        assert!(tracer.release(5), "release applies the parked verdict");
+        let (_, traces) = tracer.snapshot_indexed();
+        let stages: Vec<&str> = traces[0].spans.iter().map(|s| s.stage.as_str()).collect();
+        assert_eq!(stages, ["score", "route"]);
+        let posture = tracer.posture();
+        assert_eq!((posture.pending, posture.missed), (0, 0));
+    }
+
+    #[test]
+    fn released_trace_settles_at_finalize() {
+        let tracer = ExemplarTracer::enabled(config());
+        tracer.admit(6, "local", 0);
+        assert!(!tracer.release(6), "nothing to settle yet");
+        assert!(tracer.finalize(6, true));
+        assert_eq!(tracer.posture().pending, 0);
+    }
+
+    #[test]
+    fn discards_and_misses_are_counted() {
+        let tracer = ExemplarTracer::enabled(config());
+        tracer.admit(1, "local", 0);
+        tracer.discard(1);
+        tracer.record(1, SpanSlice::new(Stage::Score, 0, 1, "w"));
+        tracer.record_slices(1, &[SpanSlice::new(Stage::Score, 0, 1, "w")]);
+        assert!(!tracer.finalize(1, true));
+        assert!(!tracer.release(1));
+        let posture = tracer.posture();
+        assert_eq!(posture.discarded, 1);
+        assert_eq!(posture.missed, 4);
+        assert_eq!(posture.pending, 0);
+        let mut expo = Exposition::new();
+        tracer.render_into(&mut expo);
+        let text = expo.finish();
+        assert!(text.contains("gridwatch_exemplar_missed_total 4"), "{text}");
+        assert!(
+            text.contains("gridwatch_exemplar_discarded_total 1"),
+            "{text}"
+        );
+        assert!(crate::expo::parse(&text).is_some());
     }
 
     #[test]

@@ -338,6 +338,7 @@ impl CoordinatorMetricsProbe {
             expo.sample(name, &[], value);
         }
         crate::stats::render_stage_spans(&mut expo, &self.obs.tracer);
+        self.obs.exemplar.render_into(&mut expo);
         expo.finish()
     }
 }
@@ -563,6 +564,20 @@ impl Coordinator {
             snapshot: snapshot.clone(),
         })
         .map_err(|e| FabricError::Protocol(format!("encode snapshot frame: {e}")))?;
+        if traced {
+            // Admitted before any worker can see the frame and held
+            // until the Route slice is in: a board that races home and
+            // reports first still lands in the trace.
+            exemplar.admit(seq, COORDINATOR_SOURCE, at_secs);
+            // The coordinator sequences at the merge barrier, not at a
+            // socket table; a zero-width Sequence slice keeps every
+            // trace covering the same seven stages. Ingest/decode come
+            // back with the workers' board spans.
+            exemplar.record(
+                seq,
+                SpanSlice::new(Stage::Sequence, route_start, 0, COORDINATOR_SOURCE),
+            );
+        }
         self.journal.push_back((seq, snapshot));
         self.stats.lock().submitted += 1;
         for shard in 0..self.shards {
@@ -578,15 +593,6 @@ impl Coordinator {
             }
         }
         if traced {
-            exemplar.open(seq, COORDINATOR_SOURCE, at_secs);
-            // The coordinator sequences at the merge barrier, not at a
-            // socket table; a zero-width Sequence slice keeps every
-            // trace covering the same seven stages. Ingest/decode come
-            // back with the workers' board spans.
-            exemplar.record(
-                seq,
-                SpanSlice::new(Stage::Sequence, route_start, 0, COORDINATOR_SOURCE),
-            );
             exemplar.record(
                 seq,
                 SpanSlice::new(
@@ -596,6 +602,7 @@ impl Coordinator {
                     COORDINATOR_SOURCE,
                 ),
             );
+            exemplar.release(seq);
         }
         Ok(seq)
     }

@@ -49,7 +49,7 @@ use crossbeam::channel::{self, Receiver, Sender, TrySendError};
 use gridwatch_detect::{
     AlarmTracker, DetectionEngine, EngineConfig, EngineSnapshot, ScoreBoard, Snapshot, StepReport,
 };
-use gridwatch_obs::{PipelineObs, SpanSlice, Stage};
+use gridwatch_obs::{ExemplarTracer, PipelineObs, SpanSlice, Stage};
 use gridwatch_sync::{classes, OrderedMutex};
 
 use crate::checkpoint::{CheckpointError, CheckpointManifest, Checkpointer};
@@ -380,27 +380,12 @@ impl ShardedEngine {
         // Clone the handles so the span's borrow does not pin `self`.
         let tracer = self.obs.tracer.clone();
         let exemplar = self.obs.exemplar.clone();
-        let traced = exemplar.is_enabled();
         let at_secs = snapshot.at().as_secs();
-        let route_start = if traced { exemplar.now_ns() } else { 0 };
-        let report = self.submit_inner(snapshot, &tracer);
-        if traced {
-            if let Some(seq) = report.seq {
-                exemplar.open(seq, source, at_secs);
-                for stage in [Stage::Ingest, Stage::Decode, Stage::Sequence] {
-                    if !wire_spans.iter().any(|s| s.stage == stage.name()) {
-                        exemplar.record(seq, SpanSlice::new(stage, route_start, 0, source));
-                    }
-                }
-                exemplar.record_slices(seq, wire_spans);
-                let dur = exemplar.now_ns().saturating_sub(route_start);
-                exemplar.record(
-                    seq,
-                    SpanSlice::new(Stage::Route, route_start, dur, "ingest"),
-                );
-            }
-        }
-        report
+        // Every policy admits a snapshot under the next sequence number.
+        let seq = self.next_seq;
+        traced_admission(&exemplar, seq, source, at_secs, wire_spans, || {
+            self.submit_inner(snapshot, &tracer)
+        })
     }
 
     fn submit_inner(&mut self, snapshot: Snapshot, tracer: &gridwatch_obs::Tracer) -> IngestReport {
@@ -732,7 +717,11 @@ impl StatsProbe {
     /// The current stats plus stage spans as Prometheus exposition
     /// text — what a `GET /metrics` scrape of this engine returns.
     pub fn to_prometheus(&self) -> String {
-        self.stats().to_prometheus(&self.obs.tracer)
+        let mut text = self.stats().to_prometheus(&self.obs.tracer);
+        let mut expo = gridwatch_obs::Exposition::new();
+        self.obs.exemplar.render_into(&mut expo);
+        text.push_str(&expo.finish());
+        text
     }
 }
 
@@ -740,6 +729,51 @@ impl std::fmt::Debug for StatsProbe {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "StatsProbe({} shards)", self.queues.len())
     }
+}
+
+/// Runs `fan_out` — which admits the snapshot as `seq` or sheds it —
+/// inside the snapshot's exemplar trace, when capture is enabled.
+///
+/// The trace is admitted *before* the fan-out, so a shard that scores
+/// the snapshot at once still finds it, and held until the Route slice
+/// (which spans the fan-out) is in, so an aggregator that finalizes
+/// first cannot drop the front's slices. A shed or rejected snapshot's
+/// trace is discarded. Front stages missing from `wire_spans` are
+/// synthesized as zero-duration slices so every retained trace covers
+/// all seven stages.
+fn traced_admission(
+    exemplar: &ExemplarTracer,
+    seq: u64,
+    source: &str,
+    at_secs: u64,
+    wire_spans: &[SpanSlice],
+    fan_out: impl FnOnce() -> IngestReport,
+) -> IngestReport {
+    if !exemplar.is_enabled() {
+        return fan_out();
+    }
+    let route_start = exemplar.now_ns();
+    exemplar.admit(seq, source, at_secs);
+    for stage in [Stage::Ingest, Stage::Decode, Stage::Sequence] {
+        if !wire_spans.iter().any(|s| s.stage == stage.name()) {
+            exemplar.record(seq, SpanSlice::new(stage, route_start, 0, source));
+        }
+    }
+    exemplar.record_slices(seq, wire_spans);
+    let report = fan_out();
+    match report.seq {
+        Some(admitted) => {
+            debug_assert_eq!(admitted, seq, "admitted under another sequence number");
+            let dur = exemplar.now_ns().saturating_sub(route_start);
+            exemplar.record(
+                seq,
+                SpanSlice::new(Stage::Route, route_start, dur, "ingest"),
+            );
+            exemplar.release(seq);
+        }
+        None => exemplar.discard(seq),
+    }
+    report
 }
 
 /// Pushes `msg` into a full-or-not shard queue, evicting the oldest
@@ -1498,6 +1532,52 @@ mod tests {
             "{text}"
         );
         assert!(gridwatch_obs::parse_exposition(&text).is_some());
+    }
+
+    /// The worst interleaving of the exemplar race, made deterministic:
+    /// the shard scores the snapshot and the aggregator merges, reports
+    /// and finalizes it before `fan_out` even returns to the front.
+    #[test]
+    fn exemplar_trace_survives_a_shard_that_finishes_before_the_front() {
+        let exemplar = gridwatch_obs::ExemplarTracer::enabled(Default::default());
+        let report = traced_admission(&exemplar, 7, "local", 360, &[], || {
+            exemplar.record(7, SpanSlice::sharded(Stage::Score, 0, 10, 0, "shard-0"));
+            exemplar.record(7, SpanSlice::new(Stage::Merge, 10, 1, "aggregator"));
+            exemplar.record(7, SpanSlice::new(Stage::Report, 11, 1, "aggregator"));
+            exemplar.finalize(7, true);
+            IngestReport {
+                seq: Some(7),
+                evicted: 0,
+                sampled_out: false,
+            }
+        });
+        assert_eq!(report.seq, Some(7));
+        let (_, traces) = exemplar.snapshot_indexed();
+        assert_eq!(traces.len(), 1, "the alarmed trace was lost");
+        for stage in Stage::ALL {
+            assert!(
+                traces[0].spans.iter().any(|s| s.stage == stage.name()),
+                "missing {} in {:?}",
+                stage.name(),
+                traces[0].spans
+            );
+        }
+        let posture = exemplar.posture();
+        assert_eq!(posture.pending, 0, "a trace was left pending");
+        assert_eq!(posture.missed, 0);
+    }
+
+    #[test]
+    fn exemplar_trace_of_a_shed_snapshot_is_discarded() {
+        let exemplar = gridwatch_obs::ExemplarTracer::enabled(Default::default());
+        let report = traced_admission(&exemplar, 3, "local", 0, &[], || IngestReport {
+            seq: None,
+            evicted: 0,
+            sampled_out: true,
+        });
+        assert_eq!(report.seq, None);
+        let posture = exemplar.posture();
+        assert_eq!((posture.pending, posture.discarded), (0, 1));
     }
 
     #[test]
