@@ -8,9 +8,12 @@
 //! into in-order [`StepReport`]s — **bit-identical** to what a
 //! single-process `ShardedEngine` (or an unsharded engine) would emit,
 //! because each worker scores with the same deterministic
-//! `step_scores` over the same model slice and alarms are evaluated on
-//! the merged board by one tracker, exactly as the in-process
-//! aggregator does.
+//! `step_scores` over the same model slice, and the merge thread feeds
+//! the boards to the same `Merger` (`merge.rs`) as the in-process
+//! aggregator, with its one alarm tracker. The merge thread is the
+//! fabric adapter of the merger: it fences stale boards, writes worker
+//! states to the checkpoint and the migration state cache, and fails a
+//! checkpoint whose worker is lost.
 //!
 //! # Epoch fencing
 //!
@@ -31,8 +34,8 @@
 //! When a worker dies, [`Coordinator::attach_worker`] hands a
 //! successor the cached state plus a journal replay; determinism of
 //! `step_scores` means the successor regenerates byte-identical boards
-//! for any steps the predecessor had already answered, and the merge
-//! thread's per-(seq, shard) dedup absorbs the overlap.
+//! for any steps the predecessor had already answered, and the
+//! merger's per-(seq, shard) dedup absorbs the overlap.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::net::{Shutdown, TcpStream};
@@ -45,12 +48,11 @@ use crossbeam::channel::{self, Receiver, Sender};
 use gridwatch_sync::{classes, OrderedMutex};
 use serde::{Deserialize, Serialize};
 
-use gridwatch_detect::{
-    AlarmTracker, EngineConfig, EngineSnapshot, ScoreBoard, Snapshot, StepReport,
-};
+use gridwatch_detect::{AlarmTracker, EngineSnapshot, Snapshot, StepReport};
 use gridwatch_obs::{Exposition, PipelineObs, SpanSlice, Stage};
 
-use crate::checkpoint::{CheckpointManifest, Checkpointer, RemoteShard};
+use crate::checkpoint::{Checkpointer, RemoteShard};
+use crate::merge::{CutSpec, Merger, Offer, Output, ShardFile};
 use crate::remote::{
     decode_response, encode_control, io_ctx, read_frame, write_frame, BoardFrame, FabricControl,
     FabricError, FabricResponse,
@@ -153,36 +155,13 @@ enum CoordMsg {
         epoch: u64,
     },
     CheckpointBegin {
-        id: u64,
-        cut_seq: u64,
-        dir: PathBuf,
-        fabric_epoch: u64,
-        remote: Vec<RemoteShard>,
-        ack: Sender<Result<(), FabricError>>,
+        spec: CutSpec,
+        ack: CheckpointAck,
     },
 }
 
-/// One step awaiting boards from every shard.
-struct PendingStep {
-    board: Option<ScoreBoard>,
-    replied: Vec<bool>,
-}
-
-/// An in-flight checkpoint inside the merge thread.
-struct CheckpointOp {
-    id: u64,
-    cut_seq: u64,
-    checkpointer: Checkpointer,
-    fabric_epoch: u64,
-    remote: Vec<RemoteShard>,
-    ack: Sender<Result<(), FabricError>>,
-    files: Vec<Option<String>>,
-    received: usize,
-    error: Option<FabricError>,
-    /// Sketch candidates persisted across the shard states received so
-    /// far, summed into [`CheckpointManifest::candidate_pairs`].
-    candidates: usize,
-}
+/// The channel a checkpoint's outcome is acknowledged on.
+type CheckpointAck = Sender<Result<(), FabricError>>;
 
 /// The coordinator of a multi-node shard fabric. Single-threaded front
 /// API: `submit` snapshots, `recv` reports, `checkpoint`, and migrate
@@ -372,7 +351,13 @@ impl Coordinator {
         }
         let router = ShardRouter::new(shards);
         let config = snapshot.config;
-        let tracker = snapshot.tracker.clone();
+        let merger = Merger::new(
+            shards,
+            config,
+            snapshot.tracker,
+            fabric.start_seq,
+            obs.clone(),
+        );
         let partitions = router.partition(snapshot.models);
         let candidate_partitions = router.partition_pairs(snapshot.candidates);
 
@@ -422,16 +407,12 @@ impl Coordinator {
             let state_cache = Arc::clone(&state_cache);
             let stats = Arc::clone(&stats);
             let closing = Arc::clone(&closing);
-            let start_seq = fabric.start_seq;
             let merge_obs = obs.clone();
             thread::Builder::new()
                 .name("fabric-merge".to_string())
                 .spawn(move || {
                     merge_loop(
-                        shards,
-                        config,
-                        tracker,
-                        start_seq,
+                        merger,
                         merge_rx,
                         reports_tx,
                         slots,
@@ -742,10 +723,8 @@ impl Coordinator {
         if !dead.is_empty() {
             return Err(FabricError::Degraded { dead });
         }
-        let dir = dir.into();
-        Checkpointer::new(&dir)
-            .prepare()
-            .map_err(FabricError::Checkpoint)?;
+        let checkpointer = Checkpointer::new(dir);
+        checkpointer.prepare().map_err(FabricError::Checkpoint)?;
         self.checkpoint_counter += 1;
         let id = self.checkpoint_counter;
         let cut_seq = self.next_seq;
@@ -772,11 +751,14 @@ impl Coordinator {
         // manifest's tracker is exactly the tracker at the cut.
         merge_tx
             .send(CoordMsg::CheckpointBegin {
-                id,
-                cut_seq,
-                dir,
-                fabric_epoch: self.epoch_counter,
-                remote,
+                spec: CutSpec {
+                    id,
+                    cut_seq,
+                    checkpointer,
+                    sources: BTreeMap::new(),
+                    fabric_epoch: self.epoch_counter,
+                    remote,
+                },
                 ack: ack_tx,
             })
             .map_err(|_| FabricError::Protocol("merge thread is gone".to_string()))?;
@@ -924,15 +906,14 @@ fn reader_loop(shard: usize, epoch: u64, mut stream: TcpStream, tx: Sender<Coord
     }
 }
 
-/// The merge thread: fences stale boards, dedups replay overlap,
-/// merges partial boards, finalizes steps in sequence order, evaluates
-/// alarms on the merged board, and executes checkpoints.
+/// The merge thread: the fabric adapter of the [`Merger`]. It fences
+/// boards from superseded epochs and dead shards, writes each current
+/// worker's checkpoint state to disk and into the migration state
+/// cache, fails a checkpoint whose worker disconnects, and counts what
+/// the merger refuses.
 #[allow(clippy::too_many_arguments)]
 fn merge_loop(
-    shards: usize,
-    config: EngineConfig,
-    mut tracker: AlarmTracker,
-    start_seq: u64,
+    mut merger: Merger<CheckpointAck>,
     rx: Receiver<CoordMsg>,
     reports_tx: Sender<StepReport>,
     slots: Slots,
@@ -941,78 +922,38 @@ fn merge_loop(
     closing: Arc<std::sync::atomic::AtomicBool>,
     obs: PipelineObs,
 ) {
-    let mut pending: BTreeMap<u64, PendingStep> = BTreeMap::new();
-    let mut next_emit = start_seq;
-    let mut checkpoint: Option<CheckpointOp> = None;
-
     while let Ok(msg) = rx.recv() {
         match msg {
             CoordMsg::Board(frame) => {
-                if frame.shard >= shards {
-                    stats.lock().bad_boards += 1;
+                // The current epoch of a board's shard, if the board is
+                // fenced. An out-of-range shard has no slot; the merger
+                // counts it as bad.
+                let fenced = slots.get(frame.shard).and_then(|slot| {
+                    let slot = slot.lock();
+                    (!slot.live || slot.epoch != frame.epoch).then_some(slot.epoch)
+                });
+                if let Some(slot_epoch) = fenced {
+                    stats.lock().stale_boards += 1;
+                    obs.recorder.record(
+                        "fenced-board",
+                        format_args!(
+                            "board for seq {} from shard {} epoch {} fenced (current {})",
+                            frame.seq, frame.shard, frame.epoch, slot_epoch
+                        ),
+                    );
                 } else {
-                    let (slot_epoch, slot_live) = {
-                        let slot = slots[frame.shard].lock();
-                        (slot.epoch, slot.live)
-                    };
-                    if !slot_live || frame.epoch != slot_epoch {
-                        stats.lock().stale_boards += 1;
-                        obs.recorder.record(
-                            "fenced-board",
-                            format_args!(
-                                "board for seq {} from shard {} epoch {} fenced (current {})",
-                                frame.seq, frame.shard, frame.epoch, slot_epoch
-                            ),
-                        );
-                    } else if frame.seq < next_emit {
-                        stats.lock().replayed_boards += 1;
-                    } else {
-                        let traced = obs.exemplar.is_enabled();
-                        let merge_start = if traced { obs.exemplar.now_ns() } else { 0 };
-                        let _merge = obs.tracer.span(Stage::Merge);
-                        let entry = pending.entry(frame.seq).or_insert_with(|| PendingStep {
-                            board: None,
-                            replied: vec![false; shards],
-                        });
-                        if entry.replied[frame.shard] {
-                            stats.lock().duplicate_boards += 1;
-                        } else {
-                            // The worker's scoring time rides the frame,
-                            // so remote Score work lands in the
-                            // coordinator's distribution. Only accepted
-                            // boards count — fenced and duplicate boards
-                            // scored nothing new.
-                            obs.tracer.record_ns(Stage::Score, frame.score_ns);
-                            if traced {
-                                // Worker-side slices (ingest/decode/
-                                // score) ride the accepted board.
-                                obs.exemplar.record_slices(frame.seq, &frame.spans);
-                            }
-                            match entry.board.as_mut() {
-                                None => {
-                                    entry.board = Some(frame.board);
-                                    entry.replied[frame.shard] = true;
-                                }
-                                Some(merged) => {
-                                    if merged.try_merge(frame.board).is_ok() {
-                                        entry.replied[frame.shard] = true;
-                                    } else {
-                                        stats.lock().bad_boards += 1;
-                                    }
-                                }
-                            }
-                            if traced {
-                                obs.exemplar.record(
-                                    frame.seq,
-                                    SpanSlice::new(
-                                        Stage::Merge,
-                                        merge_start,
-                                        obs.exemplar.now_ns().saturating_sub(merge_start),
-                                        "merge",
-                                    ),
-                                );
-                            }
-                        }
+                    let offer = merger.board(
+                        frame.shard,
+                        frame.seq,
+                        frame.board,
+                        frame.score_ns,
+                        &frame.spans,
+                    );
+                    match offer {
+                        Offer::Merged => {}
+                        Offer::Duplicate => stats.lock().duplicate_boards += 1,
+                        Offer::Replayed => stats.lock().replayed_boards += 1,
+                        Offer::Bad => stats.lock().bad_boards += 1,
                     }
                 }
             }
@@ -1022,33 +963,25 @@ fn merge_loop(
                 id,
                 state,
             } => {
-                if let Some(op) = checkpoint.as_mut() {
-                    // Epoch 0 is never allocated, so a bad shard index
-                    // can never match a live assignment.
-                    let current_epoch = slots.get(shard).map(|slot| slot.lock().epoch).unwrap_or(0);
-                    if shard < shards
-                        && op.id == id
-                        && epoch == current_epoch
-                        && op.files[shard].is_none()
-                    {
-                        match op.checkpointer.write_shard(shard, &state) {
-                            Ok(name) => {
-                                op.files[shard] = Some(name);
-                                op.received += 1;
-                                op.candidates += state.candidates.len();
-                                state_cache.lock()[shard] = StateEntry {
-                                    cut: op.cut_seq,
-                                    state: *state,
-                                };
-                            }
-                            Err(e) => {
-                                if op.error.is_none() {
-                                    op.error = Some(FabricError::Checkpoint(e));
-                                }
-                                op.received += 1;
-                            }
-                        }
+                let current = slots
+                    .get(shard)
+                    .is_some_and(|slot| slot.lock().epoch == epoch);
+                if let Some((checkpointer, cut)) = merger.wants_file(shard, id).filter(|_| current)
+                {
+                    let result = checkpointer.write_shard(shard, &state);
+                    let candidates = state.candidates.len();
+                    if result.is_ok() {
+                        state_cache.lock()[shard] = StateEntry { cut, state: *state };
                     }
+                    merger.shard_file(ShardFile {
+                        shard,
+                        id,
+                        result,
+                        candidates,
+                        // Lifecycle counters stay on the workers.
+                        promotions: 0,
+                        demotions: 0,
+                    });
                 }
             }
             CoordMsg::Disconnected { shard, epoch } => {
@@ -1074,174 +1007,30 @@ fn merge_loop(
                     }
                     // A checkpoint still waiting on this worker's state
                     // can never complete.
-                    if let Some(op) = checkpoint.take() {
-                        if op.files.get(shard).is_some_and(|f| f.is_none()) {
-                            let _ = op
-                                .ack
-                                .send(Err(FabricError::Degraded { dead: vec![shard] }));
-                        } else {
-                            checkpoint = Some(op);
-                        }
-                    }
+                    merger.abort(shard);
                 }
             }
-            CoordMsg::CheckpointBegin {
-                id,
-                cut_seq,
-                dir,
-                fabric_epoch,
-                remote,
-                ack,
-            } => {
-                if let Some(stale) = checkpoint.take() {
-                    let _ = stale.ack.send(Err(FabricError::Protocol(
-                        "superseded by a newer checkpoint".to_string(),
-                    )));
-                }
-                checkpoint = Some(CheckpointOp {
-                    id,
-                    cut_seq,
-                    checkpointer: Checkpointer::new(dir),
-                    fabric_epoch,
-                    remote,
-                    ack,
-                    files: (0..shards).map(|_| None).collect(),
-                    received: 0,
-                    error: None,
-                    candidates: 0,
-                });
-            }
+            CoordMsg::CheckpointBegin { spec, ack } => merger.begin_checkpoint(spec, ack),
         }
-
-        // Finalize every fully-replied step at the head of the queue.
-        loop {
-            let complete = pending
-                .first_key_value()
-                .is_some_and(|(_, entry)| entry.replied.iter().all(|&replied| replied));
-            if !complete {
-                break;
-            }
-            if let Some((seq, entry)) = pending.pop_first() {
-                next_emit = seq + 1;
-                if let Some(board) = entry.board {
-                    let traced = obs.exemplar.is_enabled();
-                    let report_start = if traced { obs.exemplar.now_ns() } else { 0 };
-                    let _report_span = obs.tracer.span(Stage::Report);
-                    let alarms = tracker.evaluate(&board, &config.alarm);
-                    let alarmed = !alarms.is_empty();
-                    {
-                        let mut stats = stats.lock();
-                        stats.reports += 1;
-                        stats.alarms += alarms.len() as u64;
-                    }
-                    if alarmed {
-                        obs.recorder.record(
-                            "alarm",
-                            format_args!(
-                                "{} alarm event(s) at t={} (seq {seq})",
-                                alarms.len(),
-                                board.at()
-                            ),
-                        );
-                    }
-                    let report = StepReport {
-                        scores: board,
-                        alarms,
-                    };
-                    if reports_tx.send(report).is_err() {
-                        // Receiver gone (shutdown under way); keep
-                        // merging so checkpoints still complete.
-                    }
-                    if traced {
-                        obs.exemplar.record(
-                            seq,
-                            SpanSlice::new(
-                                Stage::Report,
-                                report_start,
-                                obs.exemplar.now_ns().saturating_sub(report_start),
-                                "merge",
-                            ),
-                        );
-                        obs.exemplar.finalize(seq, alarmed);
-                    }
+        merger.drain(|out| match out {
+            Output::Report(report) => {
+                {
+                    let mut stats = stats.lock();
+                    stats.reports += 1;
+                    stats.alarms += report.alarms.len() as u64;
                 }
+                // A gone receiver means shutdown is under way; keep
+                // merging so checkpoints still complete.
+                let _ = reports_tx.send(report);
             }
-        }
-
-        // Complete an in-flight checkpoint once every shard reported.
-        let done = checkpoint.as_ref().is_some_and(|op| op.received == shards);
-        if done {
-            if let Some(op) = checkpoint.take() {
-                debug_assert!(
-                    pending.is_empty() || next_emit >= op.cut_seq,
-                    "states arrived before all pre-cut boards"
-                );
-                let (id, cut_seq) = (op.id, op.cut_seq);
-                if finish_checkpoint(op, shards, &config, &tracker).is_ok() {
+            // Workers never send tombstones.
+            Output::EmptyStep => {}
+            Output::Checkpoint(done) => {
+                if done.result.is_ok() {
                     stats.lock().checkpoints += 1;
-                    obs.recorder.record(
-                        "checkpoint",
-                        format_args!("fabric checkpoint {id} completed at cut {cut_seq}"),
-                    );
-                } else {
-                    obs.recorder.record(
-                        "checkpoint-error",
-                        format_args!("fabric checkpoint {id} failed at cut {cut_seq}"),
-                    );
                 }
+                let _ = done.ack.send(done.result.map(drop));
             }
-        }
-    }
-}
-
-/// Writes the manifest for a checkpoint whose shard states are all on
-/// disk, and acks the front.
-fn finish_checkpoint(
-    op: CheckpointOp,
-    shards: usize,
-    config: &EngineConfig,
-    tracker: &AlarmTracker,
-) -> Result<(), ()> {
-    if let Some(error) = op.error {
-        let _ = op.ack.send(Err(error));
-        return Err(());
-    }
-    let mut shard_files = Vec::with_capacity(shards);
-    for file in op.files {
-        match file {
-            Some(name) => shard_files.push(name),
-            None => {
-                let _ = op.ack.send(Err(FabricError::Protocol(
-                    "checkpoint completed with a missing shard file".to_string(),
-                )));
-                return Err(());
-            }
-        }
-    }
-    let manifest = CheckpointManifest {
-        version: 1,
-        shards,
-        cut_seq: op.cut_seq,
-        config: *config,
-        tracker: tracker.clone(),
-        shard_files,
-        sources: BTreeMap::new(),
-        fabric_epoch: op.fabric_epoch,
-        remote: op.remote,
-        candidate_pairs: op.candidates,
-        // Lifecycle counters live on the remote workers; candidate
-        // lists still persist through the shard states above.
-        sketch_promotions: 0,
-        sketch_demotions: 0,
-    };
-    match op.checkpointer.write_manifest(&manifest) {
-        Ok(()) => {
-            let _ = op.ack.send(Ok(()));
-            Ok(())
-        }
-        Err(e) => {
-            let _ = op.ack.send(Err(FabricError::Checkpoint(e)));
-            Err(())
-        }
+        });
     }
 }

@@ -14,12 +14,14 @@
 //! snapshot is broadcast to every shard because each shard must see every
 //! instant to keep its pair trajectories (and gap-reset behaviour)
 //! identical to an unsharded [`DetectionEngine`]. Each worker scores its
-//! slice with [`DetectionEngine::step_scores`]; the aggregator merges the
-//! disjoint partial [`ScoreBoard`]s ([`ScoreBoard::merge`] is exact — the
-//! three-level aggregation is a pure function of the pair-score map) and
-//! runs the single [`AlarmTracker`] over the merged board, so under the
-//! lossless [`BackpressurePolicy::Block`] policy the stream of
-//! [`StepReport`]s is bit-identical to `DetectionEngine::step`.
+//! slice with `step_shard`. The aggregator thread is the in-process
+//! adapter of the `Merger` (`merge.rs`), the merge core it
+//! shares with the fabric coordinator: the merger joins the disjoint
+//! partial [`ScoreBoard`]s (exact — the three-level aggregation is a pure
+//! function of the pair-score map) and runs the single alarm tracker over
+//! the merged board, so under the lossless [`BackpressurePolicy::Block`]
+//! policy the stream of [`StepReport`]s is bit-identical to
+//! `DetectionEngine::step`. The adapter keeps the serving stats.
 //!
 //! # Ordering and correctness notes
 //!
@@ -28,15 +30,14 @@
 //!   can only shrink underneath it.
 //! * Every accepted sequence number receives exactly one reply per shard
 //!   (a scored board, or a `Dropped` tombstone when the ingestion front
-//!   evicts it under [`BackpressurePolicy::DropOldest`]). The aggregator
-//!   finalizes sequence numbers strictly in order, releasing a report as
-//!   soon as the lowest outstanding one is fully replied.
+//!   evicts it under [`BackpressurePolicy::DropOldest`]), so the merger
+//!   never sees a duplicate, a replay or an overlap here.
 //! * A checkpoint is a barrier: the caller announces the cut to the
 //!   aggregator, pushes a marker through every shard queue, and blocks
-//!   until the aggregator has merged every pre-cut step and written the
-//!   manifest. Channel FIFO order guarantees every pre-cut reply is
-//!   consumed before the last marker reply, so the manifest's tracker
-//!   state is exactly the post-cut state.
+//!   until the merger has every shard file and has written the manifest.
+//!   Channel FIFO order guarantees every pre-cut reply is consumed before
+//!   the last file reply, so the manifest's tracker state is exactly the
+//!   post-cut state.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -46,14 +47,19 @@ use std::time::{Duration, Instant};
 
 use crossbeam::channel::{self, Receiver, Sender, TrySendError};
 
+use gridwatch_core::TransitionModel;
 use gridwatch_detect::{
-    AlarmTracker, DetectionEngine, EngineConfig, EngineSnapshot, ScoreBoard, Snapshot, StepReport,
+    AlarmTracker, DetectionEngine, EngineConfig, EngineSnapshot, LifecycleKind, ScoreBoard,
+    Snapshot, StepReport,
 };
 use gridwatch_obs::{ExemplarTracer, PipelineObs, SpanSlice, Stage};
 use gridwatch_sync::{classes, OrderedMutex};
+use gridwatch_timeseries::MeasurementPair;
 
 use crate::checkpoint::{CheckpointError, CheckpointManifest, Checkpointer};
 use crate::ingest::{BackpressurePolicy, IngestReport, SamplingConfig};
+use crate::merge::{CutSpec, Merger, Offer, Output, ShardFile};
+use crate::remote::FabricError;
 use crate::router::ShardRouter;
 use crate::stats::{ServeStats, StatsAccumulator};
 
@@ -94,49 +100,27 @@ enum ShardMsg {
     Checkpoint { id: u64, dir: PathBuf },
 }
 
+/// The channel a checkpoint's outcome is acknowledged on.
+type CheckpointAck = Sender<Result<CheckpointManifest, CheckpointError>>;
+
 /// Everything the aggregator consumes (worker replies and ingestion-side
 /// control messages share one channel so their relative order is the
 /// order they were pushed).
+#[derive(Debug)]
 enum ShardReply {
-    /// One shard's partial board for one sequence number.
+    /// One shard's scored step for one sequence number.
     Scores {
         shard: usize,
         seq: u64,
-        board: ScoreBoard,
-        elapsed_ns: u64,
-        /// Pair-model rebuilds the shard's drift layer fired while
-        /// scoring this snapshot (0 when the drift layer is off).
-        rebuilds: u64,
-        /// Sketch-layer promotions that materialized a model while
-        /// scoring this snapshot (0 when the sketch layer is off).
-        promotions: u64,
-        /// Sketch-layer demotions that retired a model.
-        demotions: u64,
-        /// The shard's current sketch gauges (tracked pairs,
-        /// materialized models, sketch bytes) after this step.
-        gauges: ShardGauges,
+        step: ShardStep,
     },
     /// The ingestion front evicted this sequence number from this
     /// shard's queue; the shard will never score it.
     Dropped { shard: usize, seq: u64 },
-    /// A checkpoint was requested, cutting at `cut_seq`.
-    CheckpointBegin {
-        id: u64,
-        cut_seq: u64,
-        dir: PathBuf,
-        sources: BTreeMap<String, u64>,
-        ack: Sender<Result<CheckpointManifest, CheckpointError>>,
-    },
+    /// A checkpoint was requested.
+    CheckpointBegin { spec: CutSpec, ack: CheckpointAck },
     /// One shard finished writing its checkpoint file.
-    CheckpointFile {
-        shard: usize,
-        id: u64,
-        result: Result<String, CheckpointError>,
-        /// Sketch candidates persisted inside the shard's file (0 on
-        /// error or with the sketch layer off); summed into
-        /// [`CheckpointManifest::candidate_pairs`].
-        candidates: usize,
-    },
+    CheckpointFile(ShardFile),
 }
 
 /// A shard's point-in-time sketch gauges, piggybacked on every scores
@@ -152,25 +136,68 @@ pub(crate) struct ShardGauges {
     pub(crate) sketch_bytes: usize,
 }
 
-/// Aggregator bookkeeping for one in-flight sequence number.
-#[derive(Default)]
-struct PendingStep {
-    board: Option<ScoreBoard>,
-    replies: usize,
+/// One snapshot scored by one shard (see [`step_shard`]).
+#[derive(Debug)]
+pub(crate) struct ShardStep {
+    pub(crate) board: ScoreBoard,
+    /// Wall time of `step_scores`.
+    pub(crate) score_ns: u64,
+    /// Pair-model rebuilds the drift layer fired (0 when it is off).
+    pub(crate) rebuilds: u64,
+    /// Sketch promotions that materialized a model, and demotions that
+    /// retired one (0 when the sketch layer is off).
+    pub(crate) promotions: u64,
+    pub(crate) demotions: u64,
+    /// The shard's sketch gauges after the step.
+    pub(crate) gauges: ShardGauges,
 }
 
-/// Aggregator bookkeeping for one in-flight checkpoint.
-struct CheckpointOp {
-    id: u64,
-    cut_seq: u64,
-    dir: PathBuf,
-    sources: BTreeMap<String, u64>,
-    ack: Sender<Result<CheckpointManifest, CheckpointError>>,
-    files: Vec<Option<String>>,
-    received: usize,
-    error: Option<CheckpointError>,
-    /// Sketch candidates persisted across all shard files so far.
-    candidates: usize,
+/// A shard's engine over its slice of the pair models. Shards are the
+/// parallelism, so each scores serially; alarms are evaluated on the
+/// merged board, never by a shard, so its tracker stays fresh.
+pub(crate) fn shard_engine(
+    config: EngineConfig,
+    models: Vec<(MeasurementPair, TransitionModel)>,
+    candidates: Vec<MeasurementPair>,
+) -> DetectionEngine {
+    DetectionEngine::from_snapshot(EngineSnapshot {
+        config: EngineConfig {
+            parallel: false,
+            ..config
+        },
+        models,
+        tracker: AlarmTracker::new(),
+        candidates,
+    })
+}
+
+/// Scores one snapshot on a shard engine and drains the drift and
+/// sketch events the step fired. The events themselves already reached
+/// the engine's flight recorder inside `step_scores`; draining keeps
+/// them from piling up, and only their counts travel on.
+pub(crate) fn step_shard(engine: &mut DetectionEngine, snap: &Snapshot) -> ShardStep {
+    let start = Instant::now();
+    let board = engine.step_scores(snap);
+    let score_ns = start.elapsed().as_nanos() as u64;
+    let (mut promotions, mut demotions) = (0, 0);
+    for event in engine.take_lifecycle_events() {
+        match event.kind {
+            LifecycleKind::Promote => promotions += u64::from(event.succeeded),
+            LifecycleKind::Demote => demotions += 1,
+        }
+    }
+    ShardStep {
+        board,
+        score_ns,
+        rebuilds: engine.take_rebuild_events().len() as u64,
+        promotions,
+        demotions,
+        gauges: ShardGauges {
+            tracked_pairs: engine.tracked_pair_count(),
+            materialized: engine.model_count(),
+            sketch_bytes: engine.sketch_bytes(),
+        },
+    }
 }
 
 /// A running sharded detection engine. Built with
@@ -206,23 +233,6 @@ impl std::fmt::Debug for ShardMsg {
         match self {
             ShardMsg::Snapshot { seq, .. } => write!(f, "Snapshot(seq {seq})"),
             ShardMsg::Checkpoint { id, .. } => write!(f, "Checkpoint(id {id})"),
-        }
-    }
-}
-
-impl std::fmt::Debug for ShardReply {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ShardReply::Scores { shard, seq, .. } => {
-                write!(f, "Scores(shard {shard}, seq {seq})")
-            }
-            ShardReply::Dropped { shard, seq } => write!(f, "Dropped(shard {shard}, seq {seq})"),
-            ShardReply::CheckpointBegin { id, cut_seq, .. } => {
-                write!(f, "CheckpointBegin(id {id}, cut {cut_seq})")
-            }
-            ShardReply::CheckpointFile { shard, id, .. } => {
-                write!(f, "CheckpointFile(shard {shard}, id {id})")
-            }
         }
     }
 }
@@ -276,11 +286,6 @@ impl ShardedEngine {
         let (reply_tx, reply_rx) = channel::unbounded::<ShardReply>();
         let (reports_tx, reports_rx) = channel::unbounded::<StepReport>();
 
-        // Shards are the parallelism; each sub-engine scores serially.
-        let shard_config = EngineConfig {
-            parallel: false,
-            ..engine_config
-        };
         let mut shard_senders = Vec::with_capacity(config.shards);
         let mut shard_stealers = Vec::with_capacity(config.shards);
         let mut workers = Vec::with_capacity(config.shards);
@@ -290,12 +295,7 @@ impl ShardedEngine {
             shard_stealers.push(rx.clone());
             shard_senders.push(tx);
             let reply = reply_tx.clone();
-            let mut engine = DetectionEngine::from_snapshot(EngineSnapshot {
-                config: shard_config,
-                models: part,
-                tracker: AlarmTracker::new(),
-                candidates,
-            });
+            let mut engine = shard_engine(engine_config, part, candidates);
             // Shard engines share the flight recorder so drift-layer
             // rebuild events land in the same ring as alarms and
             // checkpoints (and flow to the history store from there).
@@ -310,21 +310,16 @@ impl ShardedEngine {
 
         let agg_stats = Arc::clone(&stats);
         let agg_obs = obs.clone();
-        let tracker = snapshot.tracker;
-        let shards = config.shards;
+        let merger = Merger::new(
+            config.shards,
+            engine_config,
+            snapshot.tracker,
+            0,
+            obs.clone(),
+        );
         let aggregator = std::thread::Builder::new()
             .name("gw-aggregate".to_string())
-            .spawn(move || {
-                aggregator_loop(
-                    shards,
-                    engine_config,
-                    tracker,
-                    reply_rx,
-                    reports_tx,
-                    agg_stats,
-                    agg_obs,
-                )
-            })
+            .spawn(move || aggregator_loop(merger, reply_rx, reports_tx, agg_stats, agg_obs))
             .expect("spawn aggregator");
 
         ShardedEngine {
@@ -558,7 +553,8 @@ impl ShardedEngine {
         sources: BTreeMap<String, u64>,
     ) -> Result<CheckpointManifest, CheckpointError> {
         let dir = dir.as_ref().to_path_buf();
-        Checkpointer::new(&dir).prepare()?;
+        let checkpointer = Checkpointer::new(&dir);
+        checkpointer.prepare()?;
         let id = self.next_ckpt_id;
         self.next_ckpt_id += 1;
         let (ack_tx, ack_rx) = channel::bounded(1);
@@ -568,10 +564,14 @@ impl ShardedEngine {
         // marker's reply.
         self.reply_sender
             .send(ShardReply::CheckpointBegin {
-                id,
-                cut_seq: self.next_seq,
-                dir: dir.clone(),
-                sources,
+                spec: CutSpec {
+                    id,
+                    cut_seq: self.next_seq,
+                    checkpointer,
+                    sources,
+                    fabric_epoch: 0,
+                    remote: Vec::new(),
+                },
                 ack: ack_tx,
             })
             .expect("aggregator disconnected");
@@ -820,289 +820,104 @@ fn worker_loop(
     reply: Sender<ShardReply>,
 ) {
     while let Ok(msg) = rx.recv() {
-        match msg {
-            ShardMsg::Snapshot { seq, snap } => {
-                let start = Instant::now();
-                let board = engine.step_scores(&snap);
-                let elapsed_ns = start.elapsed().as_nanos() as u64;
-                // Drain drift-layer rebuilds and sketch-layer lifecycle
-                // events fired by this step; the events themselves
-                // already reached the flight recorder inside
-                // step_scores, so only the counts travel here.
-                let rebuilds = engine.take_rebuild_events().len() as u64;
-                let lifecycle = engine.take_lifecycle_events();
-                let promotions = lifecycle
-                    .iter()
-                    .filter(|e| e.kind == gridwatch_detect::LifecycleKind::Promote && e.succeeded)
-                    .count() as u64;
-                let demotions = lifecycle
-                    .iter()
-                    .filter(|e| e.kind == gridwatch_detect::LifecycleKind::Demote)
-                    .count() as u64;
-                let gauges = ShardGauges {
-                    tracked_pairs: engine.tracked_pair_count(),
-                    materialized: engine.model_count(),
-                    sketch_bytes: engine.sketch_bytes(),
-                };
-                if reply
-                    .send(ShardReply::Scores {
-                        shard,
-                        seq,
-                        board,
-                        elapsed_ns,
-                        rebuilds,
-                        promotions,
-                        demotions,
-                        gauges,
-                    })
-                    .is_err()
-                {
-                    break;
-                }
-            }
+        let reply_msg = match msg {
+            ShardMsg::Snapshot { seq, snap } => ShardReply::Scores {
+                shard,
+                seq,
+                step: step_shard(&mut engine, &snap),
+            },
             ShardMsg::Checkpoint { id, dir } => {
                 let snapshot = engine.snapshot();
-                let candidates = snapshot.candidates.len();
-                let result = Checkpointer::new(dir).write_shard(shard, &snapshot);
-                if reply
-                    .send(ShardReply::CheckpointFile {
-                        shard,
-                        id,
-                        result,
-                        candidates,
-                    })
-                    .is_err()
-                {
-                    break;
-                }
+                ShardReply::CheckpointFile(ShardFile {
+                    shard,
+                    id,
+                    result: Checkpointer::new(dir).write_shard(shard, &snapshot),
+                    candidates: snapshot.candidates.len(),
+                    promotions: engine.promotion_count(),
+                    demotions: engine.demotion_count(),
+                })
             }
+        };
+        if reply.send(reply_msg).is_err() {
+            break;
         }
     }
 }
 
-/// The aggregator: merges partial boards in sequence order, runs the
-/// single alarm tracker over each merged board, emits reports, and
-/// completes checkpoints by writing the manifest.
+/// The aggregator: the in-process adapter of the [`Merger`]. It feeds
+/// shard replies and checkpoint events in channel order, keeps the
+/// per-shard serving stats, and forwards reports and checkpoint
+/// outcomes. Local sequence numbers start at 0 and never repeat, and
+/// shards are threads of this process, so there is nothing to fence.
 fn aggregator_loop(
-    shards: usize,
-    engine_config: EngineConfig,
-    mut tracker: AlarmTracker,
+    mut merger: Merger<CheckpointAck>,
     reply_rx: Receiver<ShardReply>,
     reports_tx: Sender<StepReport>,
     stats: Arc<OrderedMutex<StatsAccumulator>>,
     obs: PipelineObs,
 ) {
-    let mut pending: BTreeMap<u64, PendingStep> = BTreeMap::new();
-    let mut checkpoint: Option<CheckpointOp> = None;
     while let Ok(msg) = reply_rx.recv() {
         match msg {
-            ShardReply::Scores {
-                shard,
-                seq,
-                board,
-                elapsed_ns,
-                rebuilds,
-                promotions,
-                demotions,
-                gauges,
-            } => {
-                // The worker measured its `step_scores` wall time; the
-                // aggregator owns the roll-ups, so both the per-shard
-                // histogram and the Score stage are fed here.
-                obs.tracer.record_ns(Stage::Score, elapsed_ns);
-                if obs.exemplar.is_enabled() {
-                    // The worker has no exemplar handle; attribute its
-                    // measured wall time here, anchored to the receive
-                    // instant (start ≈ now − elapsed on this timeline).
+            ShardReply::Scores { shard, seq, step } => {
+                // The worker has no exemplar handle; attribute its
+                // measured wall time here, anchored to the receive
+                // instant (start ≈ now − elapsed on this timeline).
+                let score = obs.exemplar.is_enabled().then(|| {
                     let end = obs.exemplar.now_ns();
-                    obs.exemplar.record(
-                        seq,
-                        SpanSlice::sharded(
-                            Stage::Score,
-                            end.saturating_sub(elapsed_ns),
-                            elapsed_ns,
-                            shard as u64,
-                            &format!("shard-{shard}"),
-                        ),
-                    );
-                }
+                    SpanSlice::sharded(
+                        Stage::Score,
+                        end.saturating_sub(step.score_ns),
+                        step.score_ns,
+                        shard as u64,
+                        &format!("shard-{shard}"),
+                    )
+                });
                 {
                     let mut acc = stats.lock();
-                    acc.per_shard[shard].observe_latency(elapsed_ns);
-                    acc.rebuilds += rebuilds;
-                    acc.promotions += promotions;
-                    acc.demotions += demotions;
-                    acc.per_shard[shard].tracked_pairs = gauges.tracked_pairs;
-                    acc.per_shard[shard].materialized = gauges.materialized;
-                    acc.per_shard[shard].sketch_bytes = gauges.sketch_bytes;
+                    acc.per_shard[shard].observe_latency(step.score_ns);
+                    acc.rebuilds += step.rebuilds;
+                    acc.promotions += step.promotions;
+                    acc.demotions += step.demotions;
+                    acc.per_shard[shard].tracked_pairs = step.gauges.tracked_pairs;
+                    acc.per_shard[shard].materialized = step.gauges.materialized;
+                    acc.per_shard[shard].sketch_bytes = step.gauges.sketch_bytes;
                 }
-                let merge = obs.tracer.span(Stage::Merge);
-                let merge_start = if obs.exemplar.is_enabled() {
-                    obs.exemplar.now_ns()
-                } else {
-                    0
-                };
-                let entry = pending.entry(seq).or_default();
-                entry.replies += 1;
-                match &mut entry.board {
-                    Some(merged) => merged.merge(board),
-                    slot @ None => *slot = Some(board),
-                }
-                drop(merge);
-                if obs.exemplar.is_enabled() {
-                    let dur = obs.exemplar.now_ns().saturating_sub(merge_start);
-                    obs.exemplar.record(
-                        seq,
-                        SpanSlice::new(Stage::Merge, merge_start, dur, "aggregator"),
-                    );
-                }
+                let offer = merger.board(shard, seq, step.board, step.score_ns, score.as_slice());
+                debug_assert_eq!(offer, Offer::Merged, "disjoint shards, fresh seqs");
             }
-            ShardReply::Dropped { seq, .. } => {
-                pending.entry(seq).or_default().replies += 1;
+            ShardReply::Dropped { shard, seq } => {
+                let offer = merger.tombstone(shard, seq);
+                debug_assert_eq!(offer, Offer::Merged, "one reply per shard and seq");
             }
-            ShardReply::CheckpointBegin {
-                id,
-                cut_seq,
-                dir,
-                sources,
-                ack,
-            } => {
-                checkpoint = Some(CheckpointOp {
-                    id,
-                    cut_seq,
-                    dir,
-                    sources,
-                    ack,
-                    files: vec![None; shards],
-                    received: 0,
-                    error: None,
-                    candidates: 0,
-                });
-            }
-            ShardReply::CheckpointFile {
-                shard,
-                id,
-                result,
-                candidates,
-            } => {
-                let op = checkpoint.as_mut().expect("checkpoint file without begin");
-                debug_assert_eq!(op.id, id, "interleaved checkpoints are impossible");
-                op.received += 1;
-                op.candidates += candidates;
-                match result {
-                    Ok(name) => op.files[shard] = Some(name),
-                    Err(e) => {
-                        if op.error.is_none() {
-                            op.error = Some(e);
-                        }
-                    }
-                }
+            ShardReply::CheckpointBegin { spec, ack } => merger.begin_checkpoint(spec, ack),
+            ShardReply::CheckpointFile(file) => {
+                let awaited = merger.shard_file(file);
+                debug_assert!(awaited, "one file per shard, after its begin");
             }
         }
-
-        // Finalize fully-replied sequence numbers strictly in order.
-        while pending
-            .first_key_value()
-            .is_some_and(|(_, entry)| entry.replies >= shards)
-        {
-            let (seq, entry) = pending.pop_first().expect("checked non-empty");
-            let report = obs.tracer.span(Stage::Report);
-            let traced = obs.exemplar.is_enabled();
-            let report_start = if traced { obs.exemplar.now_ns() } else { 0 };
-            let mut alarmed = false;
-            let mut acc = stats.lock();
-            match entry.board {
-                Some(board) => {
-                    let alarms = tracker.evaluate(&board, &engine_config.alarm);
+        merger.drain(|out| match out {
+            Output::Report(report) => {
+                {
+                    let mut acc = stats.lock();
                     acc.reports += 1;
-                    acc.alarms += alarms.len() as u64;
-                    drop(acc);
-                    alarmed = !alarms.is_empty();
-                    if alarmed {
-                        obs.recorder.record(
-                            "alarm",
-                            format_args!(
-                                "{} alarm event(s) at t={} (seq {seq})",
-                                alarms.len(),
-                                board.at()
-                            ),
-                        );
-                    }
-                    let _ = reports_tx.send(StepReport {
-                        scores: board,
-                        alarms,
-                    });
+                    acc.alarms += report.alarms.len() as u64;
                 }
-                // Every shard evicted this instant: nothing to report.
-                None => {
-                    acc.empty_steps += 1;
-                    drop(acc);
-                    obs.recorder
-                        .record("empty-step", format_args!("seq {seq} fully evicted"));
-                }
+                let _ = reports_tx.send(report);
             }
-            drop(report);
-            if traced {
-                let dur = obs.exemplar.now_ns().saturating_sub(report_start);
-                obs.exemplar.record(
-                    seq,
-                    SpanSlice::new(Stage::Report, report_start, dur, "aggregator"),
-                );
-                obs.exemplar.finalize(seq, alarmed);
-            }
-        }
-
-        // Complete the checkpoint once every shard has written its file.
-        if checkpoint.as_ref().is_some_and(|op| op.received == shards) {
-            let op = checkpoint.take().expect("checked some");
-            debug_assert!(
-                pending.range(..op.cut_seq).next().is_none(),
-                "all pre-cut steps finalize before the last marker reply"
-            );
-            let outcome = match op.error {
-                Some(e) => Err(e),
-                None => {
-                    let (sketch_promotions, sketch_demotions) = {
-                        let acc = stats.lock();
-                        (acc.promotions, acc.demotions)
-                    };
-                    let manifest = CheckpointManifest {
-                        version: 1,
-                        shards,
-                        cut_seq: op.cut_seq,
-                        config: engine_config,
-                        tracker: tracker.clone(),
-                        shard_files: op
-                            .files
-                            .into_iter()
-                            .map(|f| f.expect("no error recorded, so every file landed"))
-                            .collect(),
-                        sources: op.sources,
-                        fabric_epoch: 0,
-                        remote: Vec::new(),
-                        candidate_pairs: op.candidates,
-                        sketch_promotions,
-                        sketch_demotions,
-                    };
-                    Checkpointer::new(&op.dir)
-                        .write_manifest(&manifest)
-                        .map(|()| manifest)
-                }
-            };
-            match &outcome {
-                Ok(manifest) => {
+            Output::EmptyStep => stats.lock().empty_steps += 1,
+            Output::Checkpoint(done) => {
+                if done.result.is_ok() {
                     stats.lock().checkpoints += 1;
-                    obs.recorder.record(
-                        "checkpoint",
-                        format_args!("id {} cut_seq {}", op.id, manifest.cut_seq),
-                    );
                 }
-                Err(e) => obs
-                    .recorder
-                    .record("checkpoint-error", format_args!("id {}: {e}", op.id)),
+                // Local shards are threads of this process: none is
+                // ever lost, and checkpoints never overlap, so only a
+                // write error can end one.
+                let _ = done.ack.send(done.result.map_err(|e| match e {
+                    FabricError::Checkpoint(e) => e,
+                    other => CheckpointError::Corrupt(other.to_string()),
+                }));
             }
-            let _ = op.ack.send(outcome);
-        }
+        });
     }
 }
 
@@ -1667,6 +1482,60 @@ mod tests {
         }
         // Per-shard latency histograms fill regardless of tracing.
         assert_eq!(stats.shards[0].latency.count, trace.len() as u64);
+    }
+
+    /// The shard-step helper drains the drift layer's events on every
+    /// step, so they never pile up in a long-lived shard, and its counts
+    /// add up to the layer's own total.
+    #[test]
+    fn step_shard_drains_drift_events_on_every_step() {
+        let ids = ids();
+        // Drift pairs with frozen models: an adaptive grid would extend
+        // over the rewired trajectory and never decay.
+        let config = EngineConfig {
+            model: gridwatch_core::ModelConfig::default().frozen(),
+            drift: Some(gridwatch_detect::DriftConfig {
+                fitness_floor: 0.45,
+                window: 20,
+                decay_fraction: 0.7,
+                min_history: 30,
+                history_points: 200,
+                cooldown: 50,
+            }),
+            ..EngineConfig::default()
+        };
+        let mut pairs = Vec::new();
+        for i in 0..MEASUREMENTS {
+            for j in (i + 1)..MEASUREMENTS {
+                let pair = MeasurementPair::new(ids[i], ids[j]).unwrap();
+                let history = PairSeries::from_samples(
+                    (0..400u64).map(|k| (k * 360, value(i, k), value(j, k))),
+                )
+                .unwrap();
+                pairs.push((pair, history));
+            }
+        }
+        let trained = DetectionEngine::train(pairs, config).unwrap().snapshot();
+        let mut engine = shard_engine(trained.config, trained.models, trained.candidates);
+        let mut rebuilds = 0;
+        for k in 0..200u64 {
+            // From here on, every other sample of measurement 5 sits on
+            // a mirrored branch the frozen grids never saw.
+            let load = (k % 48) as f64;
+            let mut snap = Snapshot::new(Timestamp::from_secs((400 + k) * 360));
+            for (m, &mid) in ids.iter().enumerate() {
+                let v = match (m == MEASUREMENTS - 1, k % 2) {
+                    (false, _) => value(m, k),
+                    (true, 0) => value(m, k),
+                    (true, _) => 307.0 - 6.0 * load,
+                };
+                snap.insert(mid, v);
+            }
+            rebuilds += step_shard(&mut engine, &snap).rebuilds;
+            assert!(engine.take_rebuild_events().is_empty(), "step {k}");
+        }
+        assert!(rebuilds > 0, "the rewire must fire rebuilds");
+        assert_eq!(rebuilds, engine.rebuild_count());
     }
 
     #[test]

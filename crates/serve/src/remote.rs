@@ -6,8 +6,8 @@
 //! slice's state in a `Hello`, then streams snapshots using the **same
 //! length-prefixed JSON wire encoding** the ingestion listener accepts
 //! ([`crate::wire::encode_json`]); the worker scores each snapshot with
-//! [`DetectionEngine::step_scores`] and streams the partial
-//! [`ScoreBoard`] back as a [`BoardFrame`]. Shipping partial boards
+//! [`gridwatch_detect::DetectionEngine::step_scores`] and streams the
+//! partial [`ScoreBoard`] back as a [`BoardFrame`]. Shipping partial boards
 //! instead of raw samples keeps the upstream link small: a board is one
 //! `f64` per owned pair, independent of snapshot width.
 //!
@@ -35,15 +35,15 @@ use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
 
 use gridwatch_sync::{classes, OrderedMutex};
 use serde::{Deserialize, Serialize};
 
-use gridwatch_detect::{AlarmTracker, DetectionEngine, EngineConfig, EngineSnapshot, ScoreBoard};
+use gridwatch_detect::{EngineSnapshot, ScoreBoard};
 use gridwatch_obs::{Exposition, PipelineObs, SpanSlice, Stage};
 
 use crate::checkpoint::CheckpointError;
+use crate::engine::{shard_engine, step_shard, ShardStep};
 use crate::wire::{self, WireFrame};
 
 /// Upper bound on one fabric frame. Larger than the wire protocol's
@@ -583,17 +583,7 @@ fn session_loop(
             if trace {
                 tracer.enable();
             }
-            // The shard scores serially; the fabric's parallelism is
-            // the worker processes themselves (mirrors ShardedEngine).
-            let engine = DetectionEngine::from_snapshot(EngineSnapshot {
-                config: EngineConfig {
-                    parallel: false,
-                    ..state.config
-                },
-                models: state.models,
-                tracker: AlarmTracker::new(),
-                candidates: state.candidates,
-            });
+            let engine = shard_engine(state.config, state.models, state.candidates);
             let ack = encode_response(&FabricResponse::HelloAck {
                 shard,
                 epoch,
@@ -649,10 +639,12 @@ fn session_loop(
                 // Timed unconditionally: score_ns rides the board frame
                 // upstream so the coordinator's Score distribution
                 // reflects remote work even when this worker's own
-                // tracer is off.
-                let scored = Instant::now();
-                let board = engine.step_scores(&frame.snapshot);
-                let score_ns = scored.elapsed().as_nanos() as u64;
+                // tracer is off. The drift and sketch counts are
+                // dropped: the events already reached this worker's
+                // flight recorder.
+                let ShardStep {
+                    board, score_ns, ..
+                } = step_shard(&mut engine, &frame.snapshot);
                 tracer.record_ns(Stage::Score, score_ns);
                 let spans = if ship_spans {
                     let score_end = obs.exemplar.now_ns();
@@ -708,6 +700,7 @@ fn session_loop(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gridwatch_detect::{AlarmTracker, EngineConfig};
     use gridwatch_timeseries::Timestamp;
 
     #[test]

@@ -10,6 +10,7 @@
 
 mod common;
 
+use std::collections::BTreeSet;
 use std::thread::JoinHandle;
 
 use gridwatch_obs::{ExemplarConfig, ExemplarTracer, PipelineObs, Stage};
@@ -103,6 +104,70 @@ fn fabric_exemplars_cover_all_seven_stages_across_the_wire() {
         .map(|t| t.seq)
         .collect();
     assert_eq!(got_alarmed, alarmed_seqs);
+}
+
+/// The worker labels on each retained trace's Merge and Report slices,
+/// checking that every trace has both stages.
+fn merge_and_report_labels(obs: &PipelineObs, steps: usize) -> BTreeSet<String> {
+    let (_, exemplars) = obs.exemplar.snapshot_indexed();
+    assert_eq!(exemplars.len(), steps, "head sampling keeps all");
+    let mut labels = BTreeSet::new();
+    for trace_doc in &exemplars {
+        for stage in ["merge", "report"] {
+            let slices: Vec<_> = trace_doc
+                .spans
+                .iter()
+                .filter(|s| s.stage == stage)
+                .collect();
+            assert!(
+                !slices.is_empty(),
+                "seq {} has no {stage} slice",
+                trace_doc.seq
+            );
+            labels.extend(slices.iter().map(|s| s.worker.clone()));
+        }
+    }
+    labels
+}
+
+#[test]
+fn merge_and_report_slices_carry_one_label_on_both_transports() {
+    let snapshot = common::trained();
+    let trace = common::trace(12);
+
+    let local = exemplar_obs(1);
+    let mut engine = ShardedEngine::start_with_obs(
+        snapshot.clone(),
+        ServeConfig {
+            shards: 2,
+            queue_capacity: 16,
+            backpressure: BackpressurePolicy::Block,
+            sampling: None,
+        },
+        local.clone(),
+    );
+    for snap in &trace {
+        engine.submit(snap.clone());
+    }
+    engine.shutdown();
+
+    let workers: Vec<Worker> = (0..2).map(|_| spawn_worker()).collect();
+    let addrs: Vec<String> = workers.iter().map(|w| w.addr.clone()).collect();
+    let fabric = exemplar_obs(1);
+    let mut coordinator =
+        Coordinator::connect_with_obs(snapshot, &addrs, FabricConfig::default(), fabric.clone())
+            .expect("connect fabric");
+    for snap in &trace {
+        coordinator.submit(snap.clone()).expect("submit");
+    }
+    coordinator.shutdown(true);
+    for worker in workers {
+        worker.handle.join().expect("worker thread").expect("run");
+    }
+
+    let local_labels = merge_and_report_labels(&local, trace.len());
+    assert_eq!(local_labels, merge_and_report_labels(&fabric, trace.len()));
+    assert_eq!(local_labels, BTreeSet::from(["merge".to_string()]));
 }
 
 proptest! {
